@@ -534,7 +534,7 @@ mod tests {
         // without a reviewed waiver: the pool is the whole surface.
         for rel in [
             "crates/congest/src/core.rs",
-            "crates/congest/src/parallel.rs",
+            "crates/congest/src/executor.rs",
             "crates/congest/src/backend.rs",
         ] {
             let c = classify(rel);

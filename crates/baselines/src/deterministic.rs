@@ -13,10 +13,11 @@
 //! experiments only ever compare *shapes*.
 
 use congest_graph::{analysis, CycleWitness, Graph, NodeId};
-use congest_sim::{Backend, Control, Ctx, Decision, Outbox, Program, RunReport, SimError};
+use congest_sim::{
+    Backend, Control, Ctx, Decision, Executor, Outbox, Program, RunReport, SimError,
+};
 use even_cycle::{
-    run_program, Budget, Descriptor, DetectResult, Detection, Detector, Model, RunCost, Target,
-    Verdict,
+    Budget, Descriptor, DetectResult, Detection, Detector, Model, RunCost, Target, Verdict,
 };
 
 /// An edge record `(u, v)` flooded through the network; two identifier
@@ -181,21 +182,19 @@ pub fn gather_and_decide_on(
     backend: Backend,
 ) -> Result<GatherOutcome, SimError> {
     let limit = 4 * (g.edge_count() as u64 + g.node_count() as u64) + 64;
-    let (report, nodes) = run_program(
-        g,
-        seed,
-        backend,
-        bandwidth,
-        None,
-        |_, _| GatherProgram {
-            cycle_len,
-            known: Vec::new(),
-            fresh: Vec::new(),
-            found: None,
-            quiet: 0,
-        },
-        limit,
-    )?;
+    let (report, nodes) = Executor::new(g, seed)
+        .backend(backend)
+        .bandwidth(bandwidth)
+        .run(
+            |_, _| GatherProgram {
+                cycle_len,
+                known: Vec::new(),
+                fresh: Vec::new(),
+                found: None,
+                quiet: 0,
+            },
+            limit,
+        )?;
     let witness = report
         .rejecting_nodes
         .first()

@@ -27,12 +27,12 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use congest_graph::{generators, MutableGraph, NodeId};
-use congest_sim::{run_with_backend, Backend, Control, Ctx, Outbox, Program};
-use rand::Rng;
+use congest_sim::{Backend, Control, Ctx, Executor, Outbox, Program};
 use even_cycle_congest::engine::store::json_escape;
 use even_cycle_congest::registry::DetectorRegistry;
 use even_cycle_congest::scenario::GraphFamily;
 use even_cycle_congest::{Budget, RunProfile, UpdateSchedule};
+use rand::Rng;
 
 /// The seed every measurement derives from (fixed: the grid must be
 /// comparable across commits).
@@ -152,12 +152,16 @@ where
     P::Msg: Send,
     F: Fn(NodeId, usize) -> P + Copy,
 {
-    let _ = run_with_backend(g, SEED, backend, 1, None, build, max_supersteps);
+    let _ = Executor::new(g, SEED)
+        .backend(backend)
+        .run(build, max_supersteps);
     let mut best = u128::MAX;
     let mut supersteps = 0;
     for _ in 0..samples.max(1) {
         let t = Instant::now();
-        let (report, _) = run_with_backend(g, SEED, backend, 1, None, build, max_supersteps)
+        let (report, _) = Executor::new(g, SEED)
+            .backend(backend)
+            .run(build, max_supersteps)
             .expect("benchmark programs cannot violate the model");
         best = best.min(t.elapsed().as_nanos());
         supersteps = report.supersteps;
@@ -292,9 +296,13 @@ fn main() -> ExitCode {
                 holder: v == holder,
             };
             // Warm-up, then timed.
-            let _ = run_with_backend(&g, SEED, backend, 1, None, build, steps as u64 + 4);
+            let _ = Executor::new(&g, SEED)
+                .backend(backend)
+                .run(build, steps as u64 + 4);
             let t = Instant::now();
-            let (report, _) = run_with_backend(&g, SEED, backend, 1, None, build, steps as u64 + 4)
+            let (report, _) = Executor::new(&g, SEED)
+                .backend(backend)
+                .run(build, steps as u64 + 4)
                 .expect("quiet ping cannot violate the model");
             let ns_per_superstep = t.elapsed().as_nanos() / u128::from(report.supersteps.max(1));
             deliver_rows.push(format!(
@@ -334,9 +342,13 @@ fn main() -> ExitCode {
         let backend = Backend::Sequential;
         let measure = || {
             // Warm-up, then timed — same protocol as the deliver grid.
-            let _ = run_with_backend(&g, SEED, backend, 1, None, build, steps as u64 + 4);
+            let _ = Executor::new(&g, SEED)
+                .backend(backend)
+                .run(build, steps as u64 + 4);
             let t = Instant::now();
-            let (report, _) = run_with_backend(&g, SEED, backend, 1, None, build, steps as u64 + 4)
+            let (report, _) = Executor::new(&g, SEED)
+                .backend(backend)
+                .run(build, steps as u64 + 4)
                 .expect("quiet ping cannot violate the model");
             t.elapsed().as_nanos() / u128::from(report.supersteps.max(1))
         };

@@ -1,6 +1,5 @@
-//! Simulation backends: one knob selecting how the superstep core of
-//! [`crate::Executor`] / [`crate::parallel::ParallelExecutor`] steps
-//! nodes.
+//! Simulation backends: one knob ([`crate::Executor::backend`])
+//! selecting how the superstep core steps nodes.
 //!
 //! Every detector in the workspace drives the same superstep core (see
 //! `core.rs`); a [`Backend`] picks the node-stepping strategy:
@@ -103,8 +102,9 @@ impl Backend {
 
     /// Caps the explicit thread count at `cap` (≥ 1). `Sequential` and
     /// `Auto` pass through unchanged (`Auto` resolves its threads at
-    /// run time; callers bounding a thread budget use
-    /// [`Backend::max_threads`] for it).
+    /// run time; a caller bounding a thread budget first resolves it
+    /// into an explicit `Parallel` count, as the experiment engine
+    /// does).
     pub fn clamped(self, cap: usize) -> Backend {
         match self {
             Backend::Parallel { threads } => Backend::Parallel {

@@ -1,15 +1,14 @@
-//! The shared superstep core behind every executor.
+//! The shared superstep core behind [`crate::Executor`].
 //!
-//! [`crate::Executor`] and [`crate::parallel::ParallelExecutor`] used
-//! to be two parallel implementations of the same synchronous loop,
-//! and they drifted: the parallel path zeroed the full `edge_words`
-//! vector (length `2m`) every superstep where the sequential path only
-//! reset touched edges, reallocated a fresh `Vec<Outbox>` per phase,
-//! and silently dropped [`CutMeter`] support. This module is the one
-//! loop both now drive; the only pluggable piece is the
-//! [`PhaseDriver`] deciding how the node-step phase runs (on the
-//! calling thread, or claimed chunk-by-chunk by the persistent worker
-//! pool in [`crate::pool`]).
+//! Every run, whatever its [`crate::Backend`], drives the one loop in
+//! this module; the only pluggable piece is the [`PhaseDriver`]
+//! deciding how the node-step phase runs (on the calling thread, or
+//! claimed chunk-by-chunk by the persistent worker pool in
+//! [`crate::pool`]). Everything a run meters beyond its congestion
+//! statistics — the [`CutMeter`] of the §3.3 reductions and the
+//! optional message [`crate::trace::Trace`] — is charged inside the
+//! single-threaded delivery pass, so both observe the same sequence of
+//! messages on every backend.
 //!
 //! Determinism invariant: message *delivery* is always sequential in
 //! sender order, and each node's randomness is its own seeded stream,
@@ -54,6 +53,7 @@ use crate::error::SimError;
 use crate::message::MessageSize;
 use crate::metrics::{CongestionStats, RunReport};
 use crate::program::{Control, Ctx, Decision, Outbox, Program};
+use crate::trace::TraceEvent;
 
 /// One contiguous block of per-node state in struct-of-arrays layout.
 /// `nodes[off]`, `rngs[off]`, `inboxes[off]`, and `outboxes[off]` all
@@ -326,8 +326,16 @@ struct DeliverOutcome {
     reused_buffers: u64,
 }
 
+/// What delivery charges beyond the congestion statistics: the
+/// per-edge bandwidth, an optional cut, and an optional trace sink.
+pub(crate) struct Meters<'r> {
+    pub(crate) bandwidth: u64,
+    pub(crate) cut: Option<&'r CutMeter>,
+    pub(crate) trace: Option<&'r mut Vec<TraceEvent>>,
+}
+
 /// Per-run delivery state: allocated once, reused every superstep.
-struct Delivery {
+struct Delivery<'r> {
     /// Words charged per directed edge this superstep; only the
     /// `touched` entries are ever non-zero.
     edge_words: Vec<u64>,
@@ -340,6 +348,9 @@ struct Delivery {
     /// allocation before this superstep — i.e. a drain now reuses a
     /// buffer from an earlier superstep rather than a fresh one.
     had_capacity: Vec<bool>,
+    meters: Meters<'r>,
+    /// Words that crossed the cut so far (stays 0 without a cut).
+    cut_words: u64,
 }
 
 /// Appends `msg` to the inbox of `to`, keeping the recipient chunk's
@@ -362,8 +373,8 @@ fn push_to<P: Program>(
     inbox.push((from, msg));
 }
 
-impl Delivery {
-    fn new(graph: &Graph) -> Delivery {
+impl<'r> Delivery<'r> {
+    fn new(graph: &Graph, meters: Meters<'r>) -> Delivery<'r> {
         let n = graph.node_count();
         let mut edge_base = Vec::with_capacity(n);
         let mut acc = 0usize;
@@ -377,6 +388,8 @@ impl Delivery {
             touched: Vec::new(),
             edge_base,
             had_capacity: vec![false; n],
+            meters,
+            cut_words: 0,
         }
     }
 
@@ -385,17 +398,15 @@ impl Delivery {
     /// superstep along with its congestion profile. The caller holds
     /// every chunk guard: delivery is a single-threaded phase, and
     /// holding all chunks lets a sender's taken-out outbox feed
-    /// recipient inboxes anywhere in the table.
-    #[allow(clippy::too_many_arguments)]
+    /// recipient inboxes anywhere in the table. Messages are charged
+    /// (and traced) as sent at `superstep`.
     fn deliver<P: Program>(
         &mut self,
         graph: &Graph,
-        bandwidth: u64,
-        cut: Option<&CutMeter>,
-        cut_words: &mut u64,
         shift: u32,
         chunks: &mut [MutexGuard<'_, NodeChunk<P>>],
         stats: &mut CongestionStats,
+        superstep: u64,
     ) -> Result<DeliverOutcome, SimError> {
         let messages_before = stats.total_messages;
         let mut reused_buffers = 0u64;
@@ -418,29 +429,14 @@ impl Delivery {
                 if let Some(msg) = &out.broadcast {
                     let words = msg.words() as u64;
                     for (pos, &to) in neighbors.iter().enumerate() {
-                        self.charge(base + pos, words);
-                        stats.total_words += words;
-                        stats.total_messages += 1;
-                        if let Some(cut) = cut {
-                            if cut.crosses(from, to) {
-                                *cut_words += words;
-                            }
-                        }
+                        self.charge(stats, superstep, base + pos, from, to, words);
                     }
                 }
                 for (to, msg) in &out.messages {
                     let pos = neighbors
                         .binary_search(to)
                         .map_err(|_| SimError::NotANeighbor { from, to: *to })?;
-                    let words = msg.words() as u64;
-                    self.charge(base + pos, words);
-                    stats.total_words += words;
-                    stats.total_messages += 1;
-                    if let Some(cut) = cut {
-                        if cut.crosses(from, *to) {
-                            *cut_words += words;
-                        }
-                    }
+                    self.charge(stats, superstep, base + pos, from, *to, msg.words() as u64);
                 }
             }
         }
@@ -481,19 +477,43 @@ impl Delivery {
             .unwrap_or(0);
         stats.max_words_per_edge_step = stats.max_words_per_edge_step.max(max_load);
         Ok(DeliverOutcome {
-            round_cost: max_load.div_ceil(bandwidth).max(1),
+            round_cost: max_load.div_ceil(self.meters.bandwidth).max(1),
             max_load,
             messages: stats.total_messages - messages_before,
             reused_buffers,
         })
     }
 
+    /// Charges one message of `words` words to the directed edge with
+    /// dense index `idx`, and to the cut and the trace when present.
     #[inline]
-    fn charge(&mut self, idx: usize, words: u64) {
+    fn charge(
+        &mut self,
+        stats: &mut CongestionStats,
+        superstep: u64,
+        idx: usize,
+        from: NodeId,
+        to: NodeId,
+        words: u64,
+    ) {
         if self.edge_words[idx] == 0 {
             self.touched.push(idx);
         }
         self.edge_words[idx] += words;
+        stats.total_words += words;
+        stats.total_messages += 1;
+        if self.meters.cut.is_some_and(|cut| cut.crosses(from, to)) {
+            self.cut_words += words;
+        }
+        if let Some(trace) = self.meters.trace.as_deref_mut() {
+            let words = words as usize;
+            trace.push(TraceEvent {
+                superstep,
+                from,
+                to,
+                words,
+            });
+        }
     }
 }
 
@@ -519,10 +539,10 @@ fn observe_delivery(metrics: &SimMetrics, outcome: &DeliverOutcome, superstep: u
 /// [`crate::Executor::run`], shared by every backend. The caller owns
 /// the table (pooled runs share it with scoped workers) and extracts
 /// the final node states with [`ChunkTable::into_nodes`] afterwards.
+/// Trace events are appended in delivery order; the caller sorts them.
 pub(crate) fn run_loop<P, D>(
     graph: &Graph,
-    bandwidth: u64,
-    cut: Option<&CutMeter>,
+    meters: Meters<'_>,
     table: &ChunkTable<P>,
     driver: &D,
     max_supersteps: u64,
@@ -538,9 +558,8 @@ where
     // rounds/messages/verdicts never read the clock.
     let started = Instant::now();
     let mut span = telemetry::Span::begin("sim.run").with("n", n);
-    let mut delivery = Delivery::new(graph);
+    let mut delivery = Delivery::new(graph, meters);
     let mut stats = CongestionStats::default();
-    let mut cut_words: u64 = 0;
     let mut rounds: u64 = 0;
     let mut supersteps: u64 = 0;
 
@@ -552,15 +571,7 @@ where
             .iter()
             .any(|c| c.outboxes.iter().any(|o| !o.is_empty()))
         {
-            let outcome = delivery.deliver(
-                graph,
-                bandwidth,
-                cut,
-                &mut cut_words,
-                table.shift(),
-                &mut guards,
-                &mut stats,
-            )?;
+            let outcome = delivery.deliver(graph, table.shift(), &mut guards, &mut stats, 0)?;
             rounds += outcome.round_cost;
             observe_delivery(metrics, &outcome, 0);
         }
@@ -577,15 +588,8 @@ where
         supersteps += 1;
         metrics.supersteps.inc();
         let mut guards = table.guards();
-        let outcome = delivery.deliver(
-            graph,
-            bandwidth,
-            cut,
-            &mut cut_words,
-            table.shift(),
-            &mut guards,
-            &mut stats,
-        )?;
+        let outcome =
+            delivery.deliver(graph, table.shift(), &mut guards, &mut stats, supersteps)?;
         rounds += outcome.round_cost;
         observe_delivery(metrics, &outcome, supersteps);
         finished = guards.iter().all(|c| c.live == 0 && c.pending == 0);
@@ -620,7 +624,7 @@ where
         congestion: stats,
         decision,
         rejecting_nodes,
-        cut_words: cut.map(|_| cut_words),
+        cut_words: delivery.meters.cut.map(|_| delivery.cut_words),
     })
 }
 
@@ -629,8 +633,7 @@ where
 pub(crate) fn run_sequential<P, F>(
     graph: &Graph,
     seed: u64,
-    bandwidth: u64,
-    cut: Option<&CutMeter>,
+    meters: Meters<'_>,
     factory: F,
     max_supersteps: u64,
 ) -> Result<(RunReport, Vec<P>), SimError>
@@ -639,7 +642,7 @@ where
     F: FnMut(NodeId, usize) -> P,
 {
     let table = ChunkTable::build(graph, seed, 1, factory);
-    let report = run_loop(graph, bandwidth, cut, &table, &SeqDriver, max_supersteps)?;
+    let report = run_loop(graph, meters, &table, &SeqDriver, max_supersteps)?;
     Ok((report, table.into_nodes()))
 }
 
@@ -649,7 +652,14 @@ mod tests {
 
     #[test]
     fn chunk_geometry_covers_every_node_once() {
-        for (n, threads) in [(0usize, 1usize), (1, 1), (63, 2), (64, 1), (65, 4), (5000, 2)] {
+        for (n, threads) in [
+            (0usize, 1usize),
+            (1, 1),
+            (63, 2),
+            (64, 1),
+            (65, 4),
+            (5000, 2),
+        ] {
             let shift = chunk_shift_for(n, threads);
             let span = 1usize << shift;
             assert!((64..=4096).contains(&span), "span {span} for n={n}");

@@ -8,7 +8,8 @@ use congest_graph::{Graph, NodeId};
 /// algorithm runs in `T` rounds on the gadget graph, then Alice and Bob
 /// can simulate it exchanging only the messages that cross the
 /// Alice/Bob cut — `O(T · cut_size · log n)` bits. A `CutMeter` installed
-/// in an [`crate::Executor`] counts exactly those words.
+/// with [`crate::Executor::cut`] counts exactly those words, on every
+/// backend: the words are charged in the single-threaded delivery pass.
 #[derive(Debug, Clone)]
 pub struct CutMeter {
     side: Vec<bool>,

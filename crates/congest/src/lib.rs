@@ -16,10 +16,11 @@
 //!   unit (a node identifier). A superstep in which some edge carries `w`
 //!   words is charged `⌈w/B⌉` rounds, where `B` is the bandwidth in words
 //!   per edge per round (`B = 1` is classical CONGEST). The
-//!   [`logical`](Executor::run) executor charges this cost directly; the
-//!   [`strict`](strict::StrictExecutor) executor actually chops messages
-//!   into `B`-word chunks and iterates rounds, and tests assert both give
-//!   identical totals and decisions.
+//!   [`logical`](Executor::run) executor — the one entry point every
+//!   detector runs through, on any [`Backend`] — charges this cost
+//!   directly; the [`strict`](strict::StrictExecutor) executor actually
+//!   chops messages into `B`-word chunks and iterates rounds, and tests
+//!   assert both give identical totals and decisions.
 //! * **Everything is replayable**: all randomness derives from a master
 //!   seed via per-node independent streams.
 //! * **Cut metering** ([`CutMeter`]) counts the bits crossing a vertex
@@ -58,10 +59,20 @@
 //! }
 //!
 //! let g = generators::cycle(8);
-//! let mut exec = Executor::new(&g, 99);
-//! let report = exec.run(|_, _| MaxFlood { best: 0, rounds: 8 }, 16)?;
-//! assert!(exec.nodes().iter().all(|p| p.best == 7));
+//! let build = |_, _| MaxFlood { best: 0, rounds: 8 };
+//! let (report, nodes) = Executor::new(&g, 99).run(build, 16)?;
+//! assert!(nodes.iter().all(|p| p.best == 7));
 //! assert!(report.rounds >= 4);
+//!
+//! // The same run on a two-thread pool, with a message trace: the
+//! // report and final states do not depend on the backend.
+//! let mut trace = congest_sim::trace::Trace::default();
+//! let (pooled, _) = Executor::new(&g, 99)
+//!     .backend(congest_sim::Backend::Parallel { threads: 2 })
+//!     .trace(&mut trace)
+//!     .run(build, 16)?;
+//! assert_eq!(pooled, report);
+//! assert_eq!(trace.events().len() as u64, report.congestion.total_messages);
 //! # Ok::<(), congest_sim::SimError>(())
 //! ```
 
@@ -75,7 +86,6 @@ mod error;
 mod executor;
 mod message;
 mod metrics;
-pub mod parallel;
 mod pool;
 mod program;
 pub mod strict;
@@ -89,46 +99,6 @@ pub use executor::Executor;
 pub use message::MessageSize;
 pub use metrics::{CongestionStats, RunReport};
 pub use program::{Control, Ctx, Decision, Outbox, Program};
-
-use congest_graph::{Graph, NodeId};
-
-/// Runs a program under the given [`Backend`], returning the report
-/// and the final per-node states. This is the one entry point every
-/// detector hot loop routes through: the [`Executor`] /
-/// [`parallel::ParallelExecutor`] pair share a single superstep core,
-/// so the report and node states are byte-identical whatever the
-/// backend or thread count.
-///
-/// # Errors
-///
-/// Same as [`Executor::run`].
-pub fn run_with_backend<P, F>(
-    graph: &Graph,
-    seed: u64,
-    backend: Backend,
-    bandwidth: u64,
-    cut: Option<CutMeter>,
-    factory: F,
-    max_supersteps: u64,
-) -> Result<(RunReport, Vec<P>), SimError>
-where
-    P: Program + Send,
-    P::Msg: Send,
-    F: FnMut(NodeId, usize) -> P,
-{
-    match backend.effective_threads(graph.node_count()) {
-        0 | 1 => core::run_sequential(graph, seed, bandwidth, cut.as_ref(), factory, max_supersteps),
-        threads => pool::run_pooled(
-            graph,
-            seed,
-            bandwidth,
-            cut.as_ref(),
-            threads,
-            factory,
-            max_supersteps,
-        ),
-    }
-}
 
 /// Derives a stream-specific 64-bit seed from a master seed and a stream
 /// label, via SplitMix64 finalization. Used everywhere a sub-component

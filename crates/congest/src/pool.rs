@@ -34,8 +34,7 @@ use std::time::Instant;
 use congest_graph::{Graph, NodeId};
 use congest_telemetry as telemetry;
 
-use crate::core::{lock_chunk, run_loop, ChunkTable, PhaseDriver, SeqDriver};
-use crate::cut::CutMeter;
+use crate::core::{lock_chunk, run_loop, ChunkTable, Meters, PhaseDriver, SeqDriver};
 use crate::error::SimError;
 use crate::metrics::RunReport;
 use crate::program::Program;
@@ -258,8 +257,7 @@ impl<P: Program> PhaseDriver<P> for SuperstepPool<'_> {
 pub(crate) fn run_pooled<P, F>(
     graph: &Graph,
     seed: u64,
-    bandwidth: u64,
-    cut: Option<&CutMeter>,
+    meters: Meters<'_>,
     threads: usize,
     factory: F,
     max_supersteps: u64,
@@ -273,7 +271,7 @@ where
     // More workers than chunks would only park and wake for nothing.
     let spawned = threads.saturating_sub(1).min(table.chunk_count());
     if spawned == 0 {
-        let report = run_loop(graph, bandwidth, cut, &table, &SeqDriver, max_supersteps)?;
+        let report = run_loop(graph, meters, &table, &SeqDriver, max_supersteps)?;
         return Ok((report, table.into_nodes()));
     }
     let ctrl = PhaseCtrl::new();
@@ -289,7 +287,7 @@ where
             ctrl: &ctrl,
             spawned,
         };
-        run_loop(graph, bandwidth, cut, &table, &pool, max_supersteps)
+        run_loop(graph, meters, &table, &pool, max_supersteps)
     })?;
     Ok((report, table.into_nodes()))
 }
@@ -298,6 +296,7 @@ where
 mod tests {
     use super::*;
     use crate::program::{Control, Ctx, Outbox};
+    use crate::{Backend, Executor};
     use congest_graph::generators;
 
     /// Halts node `v` after `v % 5` steps, so chunks go quiet at
@@ -340,9 +339,12 @@ mod tests {
     #[test]
     fn pooled_matches_sequential_with_staggered_halts() {
         let g = generators::random_regular_ish(600, 4, 7);
-        let (sr, sn) = crate::core::run_sequential(&g, 7, 1, None, build, 32).unwrap();
+        let (sr, sn) = Executor::new(&g, 7).run(build, 32).unwrap();
         for threads in [2usize, 3, 8, 1024] {
-            let (pr, pn) = run_pooled(&g, 7, 1, None, threads, build, 32).unwrap();
+            let (pr, pn) = Executor::new(&g, 7)
+                .backend(Backend::Parallel { threads })
+                .run(build, 32)
+                .unwrap();
             assert_eq!(sr, pr, "{threads} threads");
             let sh: Vec<u64> = sn.iter().map(|p| p.heard).collect();
             let ph: Vec<u64> = pn.iter().map(|p| p.heard).collect();
@@ -372,7 +374,9 @@ mod tests {
         }
         let g = generators::cycle(200);
         let caught = std::panic::catch_unwind(|| {
-            let _ = run_pooled(&g, 1, 1, None, 2, |_, _| PanicAt, 8);
+            let _ = Executor::new(&g, 1)
+                .backend(Backend::Parallel { threads: 2 })
+                .run(|_, _| PanicAt, 8);
         });
         assert!(caught.is_err(), "the panic must propagate to the caller");
     }

@@ -274,9 +274,8 @@ mod tests {
         for seed in 0..5u64 {
             let g = generators::erdos_renyi(24, 0.15, seed);
             for bandwidth in [1u64, 3] {
-                let mut logical = Executor::new(&g, seed);
-                logical.set_bandwidth(bandwidth);
-                let lr = logical
+                let (lr, logical) = Executor::new(&g, seed)
+                    .bandwidth(bandwidth)
                     .run(
                         |_, _| RandomTraffic {
                             steps: 4,
@@ -300,7 +299,7 @@ mod tests {
                 assert_eq!(lr.supersteps, sr.supersteps);
                 assert_eq!(lr.congestion, sr.congestion);
                 assert_eq!(lr.decision, sr.decision);
-                let lw: Vec<u64> = logical.nodes().iter().map(|p| p.received_words).collect();
+                let lw: Vec<u64> = logical.iter().map(|p| p.received_words).collect();
                 let sw: Vec<u64> = strict.nodes().iter().map(|p| p.received_words).collect();
                 assert_eq!(lw, sw, "identical transcripts");
             }

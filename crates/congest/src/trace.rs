@@ -1,19 +1,13 @@
 //! Execution tracing for protocol debugging.
 //!
 //! A [`Trace`] records, per superstep, every message with its endpoints
-//! and word size. Traces are collected by [`run_traced`] — a transparent
-//! program wrapper over the logical executor with identical semantics
-//! and costs — and support the queries protocol debugging actually
-//! needs: per-edge load over time, a node's conversation history, and
-//! wire-dump rendering.
+//! and word size. Traces are collected by [`crate::Executor::trace`] —
+//! recorded where delivery charges each message, so a traced run has
+//! identical semantics and costs on every backend — and support the
+//! queries protocol debugging actually needs: per-edge load over time,
+//! a node's conversation history, and wire-dump rendering.
 
-use congest_graph::{Graph, NodeId};
-
-use crate::error::SimError;
-use crate::message::MessageSize;
-use crate::metrics::RunReport;
-use crate::program::Program;
-use crate::Executor;
+use congest_graph::NodeId;
 
 /// One recorded message.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -31,7 +25,7 @@ pub struct TraceEvent {
 /// A full message trace of one execution.
 #[derive(Debug, Clone, Default)]
 pub struct Trace {
-    events: Vec<TraceEvent>,
+    pub(crate) events: Vec<TraceEvent>,
 }
 
 impl Trace {
@@ -87,109 +81,12 @@ impl Trace {
     }
 }
 
-/// A program wrapper that records every outgoing message of the inner
-/// program into a shared trace buffer.
-#[derive(Debug)]
-struct Traced<P> {
-    inner: P,
-    node: NodeId,
-    log: std::rc::Rc<std::cell::RefCell<Vec<TraceEvent>>>,
-    neighbors: Vec<NodeId>,
-}
-
-impl<P: Program> Program for Traced<P> {
-    type Msg = P::Msg;
-
-    fn init(&mut self, ctx: &mut crate::Ctx, out: &mut crate::Outbox<P::Msg>) {
-        self.neighbors = ctx.neighbors.to_vec();
-        self.inner.init(ctx, out);
-        self.record(out, 0);
-    }
-
-    fn step(
-        &mut self,
-        ctx: &mut crate::Ctx,
-        superstep: usize,
-        inbox: &[(NodeId, P::Msg)],
-        out: &mut crate::Outbox<P::Msg>,
-    ) -> crate::Control {
-        let control = self.inner.step(ctx, superstep, inbox, out);
-        self.record(out, superstep as u64 + 1);
-        control
-    }
-
-    fn decision(&self) -> crate::Decision {
-        self.inner.decision()
-    }
-}
-
-impl<P: Program> Traced<P> {
-    fn record(&self, out: &crate::Outbox<P::Msg>, superstep: u64) {
-        let mut log = self.log.borrow_mut();
-        if let Some(msg) = &out.broadcast {
-            for &to in &self.neighbors {
-                log.push(TraceEvent {
-                    superstep,
-                    from: self.node,
-                    to,
-                    words: msg.words(),
-                });
-            }
-        }
-        for (to, msg) in &out.messages {
-            log.push(TraceEvent {
-                superstep,
-                from: self.node,
-                to: *to,
-                words: msg.words(),
-            });
-        }
-    }
-}
-
-/// Runs a program under the logical executor while recording a full
-/// message [`Trace`].
-///
-/// Same semantics and costs as [`Executor::run`] (the wrapper adds no
-/// messages); returns the report together with the trace.
-///
-/// # Errors
-///
-/// Same as [`Executor::run`].
-pub fn run_traced<P, F>(
-    graph: &Graph,
-    seed: u64,
-    factory: F,
-    max_supersteps: u64,
-) -> Result<(RunReport, Trace), SimError>
-where
-    P: Program,
-    F: FnMut(NodeId, usize) -> P,
-{
-    let log = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
-    let mut factory = factory;
-    let mut exec = Executor::new(graph, seed);
-    let report = exec.run(
-        |v, n| Traced {
-            inner: factory(v, n),
-            node: v,
-            log: std::rc::Rc::clone(&log),
-            neighbors: Vec::new(),
-        },
-        max_supersteps,
-    )?;
-    let mut events = std::rc::Rc::try_unwrap(log)
-        .map(|c| c.into_inner())
-        .unwrap_or_else(|rc| rc.borrow().clone());
-    events.sort_by_key(|e| (e.superstep, e.from, e.to));
-    Ok((report, Trace { events }))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Control, Ctx, Outbox, Program};
-    use congest_graph::generators;
+    use crate::{Backend, Control, Ctx, Executor, Outbox, Program, RunReport};
+    use congest_graph::{generators, Graph};
+    use rand::Rng;
 
     struct Ping {
         hops: usize,
@@ -223,10 +120,19 @@ mod tests {
         }
     }
 
+    fn ping_trace(n: usize, hops: usize) -> (RunReport, Trace) {
+        let g = generators::path(n);
+        let mut trace = Trace::default();
+        let (report, _) = Executor::new(&g, 1)
+            .trace(&mut trace)
+            .run(|_, _| Ping { hops }, 10)
+            .unwrap();
+        (report, trace)
+    }
+
     #[test]
     fn trace_records_the_relay() {
-        let g = generators::path(5);
-        let (report, trace) = run_traced(&g, 1, |_, _| Ping { hops: 4 }, 10).unwrap();
+        let (report, trace) = ping_trace(5, 4);
         // Message relayed 0→1→2→3→4: 4 events of 3 words.
         assert_eq!(trace.events().len(), 4);
         for (i, e) in trace.events().iter().enumerate() {
@@ -244,9 +150,20 @@ mod tests {
     }
 
     #[test]
+    fn relay_render_matches_the_golden_dump() {
+        let (_, trace) = ping_trace(5, 4);
+        assert_eq!(
+            trace.render(),
+            "[step   0] 0 -> 1 (3 words)\n\
+             [step   1] 1 -> 2 (3 words)\n\
+             [step   2] 2 -> 3 (3 words)\n\
+             [step   3] 3 -> 4 (3 words)\n"
+        );
+    }
+
+    #[test]
     fn involving_filters_by_endpoint() {
-        let g = generators::path(4);
-        let (_, trace) = run_traced(&g, 1, |_, _| Ping { hops: 3 }, 10).unwrap();
+        let (_, trace) = ping_trace(4, 3);
         assert_eq!(trace.involving(NodeId::new(0)).len(), 1);
         assert_eq!(trace.involving(NodeId::new(1)).len(), 2);
         assert_eq!(trace.involving(NodeId::new(3)).len(), 1);
@@ -254,10 +171,72 @@ mod tests {
 
     #[test]
     fn render_is_line_per_event() {
-        let g = generators::path(3);
-        let (_, trace) = run_traced(&g, 1, |_, _| Ping { hops: 2 }, 10).unwrap();
+        let (_, trace) = ping_trace(3, 2);
         let dump = trace.render();
         assert_eq!(dump.lines().count(), trace.events().len());
         assert!(dump.contains("->"));
+    }
+
+    /// Broadcasts and point-to-point sends of random sizes to random
+    /// neighbors, so one sender's messages reach the trace out of
+    /// receiver order.
+    struct Chatter {
+        steps: usize,
+    }
+
+    impl Program for Chatter {
+        type Msg = Vec<u32>;
+        fn init(&mut self, ctx: &mut Ctx, out: &mut Outbox<Vec<u32>>) {
+            if ctx.node.raw().is_multiple_of(3) {
+                out.broadcast(vec![1; 2]);
+            }
+        }
+        fn step(
+            &mut self,
+            ctx: &mut Ctx,
+            s: usize,
+            _inbox: &[(NodeId, Vec<u32>)],
+            out: &mut Outbox<Vec<u32>>,
+        ) -> Control {
+            if s + 1 >= self.steps {
+                return Control::Halt;
+            }
+            if (ctx.node.index() + s).is_multiple_of(2) {
+                out.broadcast(vec![s as u32]);
+            }
+            let degree = ctx.neighbors.len();
+            for _ in 0..3.min(degree) {
+                let i = ctx.rng.gen_range(0..degree);
+                out.send(ctx.neighbors[degree - 1 - i], vec![7; i % 4]);
+            }
+            Control::Continue
+        }
+    }
+
+    fn chatter_trace(g: &Graph, backend: Backend) -> (RunReport, Trace) {
+        let mut trace = Trace::default();
+        let (report, _) = Executor::new(g, 11)
+            .backend(backend)
+            .trace(&mut trace)
+            .run(|_, _| Chatter { steps: 5 }, 10)
+            .unwrap();
+        (report, trace)
+    }
+
+    #[test]
+    fn pooled_traces_equal_the_sequential_trace() {
+        let g = generators::erdos_renyi(300, 0.03, 3);
+        let (sr, seq) = chatter_trace(&g, Backend::Sequential);
+        let total: usize = seq.events().iter().map(|e| e.words).sum();
+        assert_eq!(total as u64, sr.congestion.total_words);
+        assert_eq!(
+            seq.peak_edge_load() as u64,
+            sr.congestion.max_words_per_edge_step
+        );
+        for threads in [2usize, 4] {
+            let (pr, par) = chatter_trace(&g, Backend::Parallel { threads });
+            assert_eq!(pr, sr, "{threads} threads");
+            assert_eq!(par.events(), seq.events(), "{threads} threads");
+        }
     }
 }

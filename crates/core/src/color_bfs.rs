@@ -278,14 +278,12 @@ mod tests {
         k: usize,
         tau: u64,
     ) -> (congest_sim::RunReport, Vec<ColorBfs>) {
-        let mut exec = Executor::new(g, 7);
-        let report = exec
+        Executor::new(g, 7)
             .run(
                 |v, _| ColorBfs::new(k, colors[v.index()], true, true, true, tau),
                 (k + 3) as u64,
             )
-            .expect("simulation error");
-        (report, exec.nodes().to_vec())
+            .expect("simulation error")
     }
 
     #[test]
@@ -358,8 +356,7 @@ mod tests {
         // C4 where node 1 is outside H: the up-branch is severed.
         let g = generators::cycle(4);
         let colors = [0u8, 1, 2, 3];
-        let mut exec = Executor::new(&g, 7);
-        let report = exec
+        let (report, _) = Executor::new(&g, 7)
             .run(
                 |v, _| {
                     let in_h = v.raw() != 1;
@@ -377,13 +374,14 @@ mod tests {
         let g = generators::cycle(4);
         let colors = [0u8, 1, 2, 3];
         let run_with_x = |x_mask: [bool; 4]| {
-            let mut exec = Executor::new(&g, 7);
-            exec.run(
-                |v, _| ColorBfs::new(2, colors[v.index()], true, x_mask[v.index()], true, 100),
-                8,
-            )
-            .unwrap()
-            .rejected()
+            Executor::new(&g, 7)
+                .run(
+                    |v, _| ColorBfs::new(2, colors[v.index()], true, x_mask[v.index()], true, 100),
+                    8,
+                )
+                .unwrap()
+                .0
+                .rejected()
         };
         assert!(run_with_x([true, false, false, false]));
         assert!(!run_with_x([false, true, true, true]));
@@ -393,8 +391,7 @@ mod tests {
     fn inactive_sources_do_not_launch() {
         let g = generators::cycle(4);
         let colors = [0u8, 1, 2, 3];
-        let mut exec = Executor::new(&g, 7);
-        let report = exec
+        let (report, _) = Executor::new(&g, 7)
             .run(
                 |v, _| ColorBfs::new(2, colors[v.index()], true, true, false, 100),
                 8,

@@ -2,10 +2,11 @@
 //! `O(log²(1/ε)·2^{3k}·k^{2k+3}·n^{1-1/k})` rounds (Theorem 1).
 
 use congest_graph::{CycleWitness, Graph, NodeId};
-use congest_sim::{derive_seed, Backend, Control, Ctx, Decision, Outbox, Program, RunReport};
+use congest_sim::{
+    derive_seed, Backend, Control, Ctx, Decision, Executor, Outbox, Program, RunReport,
+};
 use rand::Rng;
 
-use crate::api::run_program;
 use crate::color_bfs::ColorBfs;
 use crate::params::{Instance, Params};
 use crate::witness::{extract_even_witness, DetectionOutcome, Phase, SetsSummary};
@@ -166,22 +167,20 @@ impl CycleDetector {
             .collect();
 
         let forced = options.forced_selection.clone();
-        let (setup_report, nodes) = run_program(
-            g,
-            derive_seed(seed, 0x5E7),
-            options.backend,
-            options.bandwidth,
-            None,
-            |v, _| SetupProgram {
-                selection_probability: inst.selection_probability,
-                k_squared: inst.k_squared,
-                forced: forced.as_ref().map(|f| f[v.index()]),
-                in_s: false,
-                in_w: false,
-            },
-            4,
-        )
-        .expect("setup protocol cannot fail");
+        let (setup_report, nodes) = Executor::new(g, derive_seed(seed, 0x5E7))
+            .backend(options.backend)
+            .bandwidth(options.bandwidth)
+            .run(
+                |v, _| SetupProgram {
+                    selection_probability: inst.selection_probability,
+                    k_squared: inst.k_squared,
+                    forced: forced.as_ref().map(|f| f[v.index()]),
+                    in_s: false,
+                    in_w: false,
+                },
+                4,
+            )
+            .expect("setup protocol cannot fail");
         let s_mask: Vec<bool> = nodes.iter().map(|p| p.in_s).collect();
         let w_mask: Vec<bool> = nodes.iter().map(|p| p.in_w).collect();
         (
@@ -397,25 +396,23 @@ pub fn run_color_bfs_backend(
             (0..g.node_count()).map(|_| rng.gen_bool(q)).collect()
         }
     };
-    let (report, nodes) = run_program(
-        g,
-        seed,
-        backend,
-        bandwidth,
-        None,
-        |v, _| {
-            ColorBfs::new(
-                k,
-                colors[v.index()],
-                h_mask[v.index()],
-                x_mask[v.index()],
-                active[v.index()],
-                tau,
-            )
-        },
-        (k + 3) as u64,
-    )
-    .expect("color-BFS cannot violate the model");
+    let (report, nodes) = Executor::new(g, seed)
+        .backend(backend)
+        .bandwidth(bandwidth)
+        .run(
+            |v, _| {
+                ColorBfs::new(
+                    k,
+                    colors[v.index()],
+                    h_mask[v.index()],
+                    x_mask[v.index()],
+                    active[v.index()],
+                    tau,
+                )
+            },
+            (k + 3) as u64,
+        )
+        .expect("color-BFS cannot violate the model");
     let rejection = report.rejecting_nodes.first().map(|&v| {
         let node = NodeId::new(v);
         let origin = nodes[v as usize]

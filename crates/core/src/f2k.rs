@@ -12,11 +12,10 @@
 
 use congest_graph::{CycleWitness, Graph, NodeId};
 use congest_sim::{
-    derive_seed, Backend, Control, Ctx, Decision, MessageSize, Outbox, Program, RunReport,
+    derive_seed, Backend, Control, Ctx, Decision, Executor, MessageSize, Outbox, Program, RunReport,
 };
 use rand::Rng;
 
-use crate::api::run_program;
 use crate::detector::random_coloring;
 use crate::witness::find_colored_path;
 
@@ -540,29 +539,27 @@ fn run_pair_call(
             (0..g.node_count()).map(|_| rng.gen_bool(q)).collect()
         }
     };
-    let (report, nodes) = run_program(
-        g,
-        seed,
-        backend,
-        bandwidth,
-        None,
-        |v, _| PairColorBfs {
-            l,
-            color: colors[v.index()],
-            in_h: h_mask[v.index()],
-            active_source: x_mask[v.index()]
-                && h_mask[v.index()]
-                && colors[v.index()] == 0
-                && active[v.index()],
-            tau,
-            nbr_color: Vec::new(),
-            nbr_in_h: Vec::new(),
-            my_ids: Vec::new(),
-            evidence: None,
-        },
-        (l + 4) as u64,
-    )
-    .expect("pair color-BFS cannot violate the model");
+    let (report, nodes) = Executor::new(g, seed)
+        .backend(backend)
+        .bandwidth(bandwidth)
+        .run(
+            |v, _| PairColorBfs {
+                l,
+                color: colors[v.index()],
+                in_h: h_mask[v.index()],
+                active_source: x_mask[v.index()]
+                    && h_mask[v.index()]
+                    && colors[v.index()] == 0
+                    && active[v.index()],
+                tau,
+                nbr_color: Vec::new(),
+                nbr_in_h: Vec::new(),
+                my_ids: Vec::new(),
+                evidence: None,
+            },
+            (l + 4) as u64,
+        )
+        .expect("pair color-BFS cannot violate the model");
     let rejection = report.rejecting_nodes.first().map(|&v| {
         let evidence = nodes[v as usize].evidence.expect("evidence");
         (NodeId::new(v), evidence)

@@ -45,8 +45,7 @@ pub mod theory;
 mod witness;
 
 pub use api::{
-    run_program, Budget, Descriptor, DetectResult, Detection, Detector, Model, RunCost, Target,
-    Verdict,
+    Budget, Descriptor, DetectResult, Detection, Detector, Model, RunCost, Target, Verdict,
 };
 pub use congest_sim::Backend;
 pub use detector::{

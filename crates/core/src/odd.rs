@@ -4,10 +4,11 @@
 
 use congest_graph::{CycleWitness, Graph, NodeId};
 use congest_quantum::{McOutcome, MonteCarloAlgorithm};
-use congest_sim::{derive_seed, Backend, Control, Ctx, Decision, MessageSize, Outbox, Program};
+use congest_sim::{
+    derive_seed, Backend, Control, Ctx, Decision, Executor, MessageSize, Outbox, Program,
+};
 use rand::Rng;
 
-use crate::api::run_program;
 use crate::detector::random_coloring;
 use crate::witness::{extract_odd_witness, DetectionOutcome, SetsSummary};
 
@@ -281,24 +282,22 @@ impl OddCycleDetector {
                 let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(derive_seed(call_seed, 0xAC7));
                 (0..n).map(|_| rng.gen_bool(activation)).collect()
             };
-            let (report, nodes) = run_program(
-                g,
-                call_seed,
-                backend,
-                bandwidth,
-                None,
-                |v, _| OddColorBfs {
-                    k,
-                    color: colors[v.index()],
-                    active_source: colors[v.index()] == 0 && active[v.index()],
-                    tau: 4,
-                    nbr_color: Vec::new(),
-                    low_ids: Vec::new(),
-                    reject: None,
-                },
-                (k + 4) as u64,
-            )
-            .expect("odd color-BFS cannot violate the model");
+            let (report, nodes) = Executor::new(g, call_seed)
+                .backend(backend)
+                .bandwidth(bandwidth)
+                .run(
+                    |v, _| OddColorBfs {
+                        k,
+                        color: colors[v.index()],
+                        active_source: colors[v.index()] == 0 && active[v.index()],
+                        tau: 4,
+                        nbr_color: Vec::new(),
+                        low_ids: Vec::new(),
+                        reject: None,
+                    },
+                    (k + 4) as u64,
+                )
+                .expect("odd color-BFS cannot violate the model");
             total.absorb(&report);
             if let Some(&v) = report.rejecting_nodes.first() {
                 decision = Decision::Reject;

@@ -82,9 +82,8 @@ pub fn measure_even_detection(
             (&not_s, &memberships.w_mask),
         ];
         for (idx, (h_mask, x_mask)) in phases.into_iter().enumerate() {
-            let mut exec = Executor::new(g, derive_seed(seed, 0xF000 + r * 3 + idx as u64));
-            exec.set_cut(gadget.cut_meter());
-            let report = exec
+            let (report, nodes) = Executor::new(g, derive_seed(seed, 0xF000 + r * 3 + idx as u64))
+                .cut(gadget.cut_meter())
                 .run(
                     |v, _| {
                         even_cycle::color_bfs::ColorBfs::new(
@@ -103,7 +102,7 @@ pub fn measure_even_detection(
             cut_words += report.cut_words.unwrap_or(0);
             if let Some(&v) = report.rejecting_nodes.first() {
                 rejected = true;
-                let origin = exec.nodes()[v as usize]
+                let origin = nodes[v as usize]
                     .evidence()
                     .expect("rejecting node has evidence")
                     .origin;

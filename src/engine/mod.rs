@@ -718,9 +718,12 @@ impl StreamSuiteOutcome {
 /// sweep's largest
 /// requested size, not its worst case — so an `Auto` backend whose
 /// threshold no grid size reaches (every unit runs sequentially, e.g.
-/// the `paper-exact` defaults) costs the pool nothing. Sizes are the
-/// *requested* n; families that snap sizes move them by at most a few
-/// nodes, which cannot flip a threshold comparison that matters.
+/// the `paper-exact` defaults) costs the pool nothing. An `Auto`
+/// backend that does flip at that size would resolve its threads from
+/// the whole machine at run time, past this budget, so it is resolved
+/// here into an explicit `Parallel` count and clamped like one. Sizes
+/// are the *requested* n; families that snap sizes move them by at most
+/// a few nodes, which cannot flip a threshold comparison that matters.
 fn split_thread_budget(
     workers: usize,
     backend: even_cycle::Backend,
@@ -728,7 +731,15 @@ fn split_thread_budget(
     available: usize,
 ) -> (usize, even_cycle::Backend) {
     let available = available.max(1);
-    let backend = backend.clamped(available);
+    let backend = match backend {
+        even_cycle::Backend::Auto { .. } if backend.effective_threads(max_size) > 1 => {
+            even_cycle::Backend::Parallel {
+                threads: backend.effective_threads(max_size),
+            }
+        }
+        other => other,
+    }
+    .clamped(available);
     let sim = backend.effective_threads(max_size).max(1);
     (workers.clamp(1, (available / sim).max(1)), backend)
 }

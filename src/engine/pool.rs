@@ -121,8 +121,8 @@ where
 /// diagnosable error for everything else (zero would deadlock, and a
 /// typo like `"fuor"` must not silently serialize a sweep). This is
 /// the same validation path the simulator's `EVEN_CYCLE_SIM_THREADS`
-/// (and thus `ParallelExecutor::new`) goes through — one rule for
-/// every thread-count knob in the stack.
+/// (and thus `Backend::parallel`) goes through — one rule for every
+/// thread-count knob in the stack.
 pub fn parse_workers(raw: &str) -> Result<usize, String> {
     congest_sim::backend::parse_thread_count("EVEN_CYCLE_WORKERS", raw)
 }

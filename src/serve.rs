@@ -40,7 +40,10 @@
 //! without invoking the detector** whenever the same request arrives
 //! again — across connections and across server restarts. The verdict
 //! line is rendered from the stored record only, so a replayed
-//! duplicate is byte-identical to the original response; whether a
+//! duplicate is byte-identical to the original response. Executions are
+//! single-flight per unit key: a duplicate that arrives while the first
+//! request is still executing waits for it and then replays its
+//! record, so concurrent duplicates execute once. Whether a
 //! request executed or replayed is visible exclusively in the `stats`
 //! counters. Updating a snapshot changes its content fingerprint and
 //! with it every unit key, so stale verdicts can never be served.
@@ -61,7 +64,7 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
 use std::time::Instant;
 
 use congest_graph::{serialize, FamilySpec, MutableGraph, NodeId};
@@ -211,6 +214,7 @@ struct Snapshot {
 const SNAPSHOTS_POISONED: &str = "snapshots mutex poisoned: a handler thread panicked";
 const STORE_POISONED: &str = "store mutex poisoned: a handler thread panicked";
 const ADMISSION_POISONED: &str = "admission counter mutex poisoned: a handler thread panicked";
+const UNIT_SLOTS_POISONED: &str = "unit slot map mutex poisoned: a handler thread panicked";
 
 /// The shared server state every connection thread works against.
 #[derive(Debug)]
@@ -224,6 +228,9 @@ struct ServeState {
     slot_freed: Condvar,
     max_inflight: usize,
     admission_rejected: Mutex<u64>,
+    /// Single-flight slots of the unit keys currently executing: the
+    /// per-key slot pattern of the engine's graph cache.
+    unit_slots: Mutex<BTreeMap<String, Arc<Mutex<()>>>>,
     shutdown: AtomicBool,
     started: Instant,
 }
@@ -244,6 +251,7 @@ impl ServeState {
             slot_freed: Condvar::new(),
             max_inflight: config.max_inflight,
             admission_rejected: Mutex::new(0),
+            unit_slots: Mutex::new(BTreeMap::new()),
             shutdown: AtomicBool::new(false),
             started: Instant::now(),
         })
@@ -282,6 +290,21 @@ impl ServeState {
         *inflight += 1;
         serve_metrics().inflight.set(*inflight as i64);
         true
+    }
+
+    /// The single-flight slot of a unit key, created on first use.
+    fn unit_slot(&self, key: &str) -> Arc<Mutex<()>> {
+        let mut slots = self.unit_slots.lock().expect(UNIT_SLOTS_POISONED);
+        Arc::clone(slots.entry(key.to_string()).or_default())
+    }
+
+    /// Drops a unit key's slot once no other request holds it (the map
+    /// lock keeps a new holder from cloning it meanwhile).
+    fn retire_unit_slot(&self, key: &str, slot: Arc<Mutex<()>>) {
+        let mut slots = self.unit_slots.lock().expect(UNIT_SLOTS_POISONED);
+        if Arc::strong_count(&slot) == 2 {
+            slots.remove(key);
+        }
     }
 
     fn release_slot(&self) {
@@ -461,42 +484,59 @@ impl ServeState {
             &self.budget,
         ));
 
-        let replayed = self
-            .store
-            .lock()
-            .expect(STORE_POISONED)
-            .as_ref()
-            .and_then(|s| s.get(&key))
-            .filter(|r| r.det == entry.id && r.n == n && r.seed == seed)
-            .cloned();
-        let (record, was_replayed) = match replayed {
+        let replay = || {
+            self.store
+                .lock()
+                .expect(STORE_POISONED)
+                .as_ref()
+                .and_then(|s| s.get(&key))
+                .filter(|r| r.det == entry.id && r.n == n && r.seed == seed)
+                .cloned()
+        };
+        let execute = || {
+            if !self.acquire_slot() {
+                *self.admission_rejected.lock().expect(ADMISSION_POISONED) += 1;
+                serve_metrics().rejections_total.inc();
+                return Err(format!(
+                    "admission: all {} detection slot(s) stayed busy past the wall-clock cap; retry later",
+                    self.max_inflight
+                ));
+            }
+            let record = record_detection(
+                metric,
+                &graph,
+                &self.budget,
+                entry.detector.as_ref(),
+                &entry.id,
+                &key,
+                n,
+                seed,
+            );
+            self.release_slot();
+            if let Some(store) = self.store.lock().expect(STORE_POISONED).as_mut() {
+                store
+                    .append(std::slice::from_ref(&record))
+                    .map_err(|e| format!("result store rejected the record: {e}"))?;
+            }
+            Ok(record)
+        };
+        let (record, was_replayed) = match replay() {
             Some(record) => (record, true),
             None => {
-                if !self.acquire_slot() {
-                    *self.admission_rejected.lock().expect(ADMISSION_POISONED) += 1;
-                    serve_metrics().rejections_total.inc();
-                    return Err(format!(
-                        "admission: all {} detection slot(s) stayed busy past the wall-clock cap; retry later",
-                        self.max_inflight
-                    ));
-                }
-                let record = record_detection(
-                    metric,
-                    &graph,
-                    &self.budget,
-                    entry.detector.as_ref(),
-                    &entry.id,
-                    &key,
-                    n,
-                    seed,
-                );
-                self.release_slot();
-                if let Some(store) = self.store.lock().expect(STORE_POISONED).as_mut() {
-                    store
-                        .append(std::slice::from_ref(&record))
-                        .map_err(|e| format!("result store rejected the record: {e}"))?;
-                }
-                (record, false)
+                // Single flight: an identical request already executing
+                // holds the key's slot; wait for it, then re-check the
+                // store before executing. The slot guards no data, so a
+                // holder that panicked leaves nothing to repair.
+                let slot = self.unit_slot(&key);
+                let outcome = {
+                    let _flight = slot.lock().unwrap_or_else(PoisonError::into_inner);
+                    match replay() {
+                        Some(record) => Ok((record, true)),
+                        None => execute().map(|record| (record, false)),
+                    }
+                };
+                self.retire_unit_slot(&key, slot);
+                outcome?
             }
         };
 

@@ -262,10 +262,8 @@ fn cut_meter_words_agree_on_the_pooled_path() {
     // crossings as the sequential core, whatever the thread count and
     // however the backend was selected. Broadcast gossip on a bisected
     // ER graph keeps every cut edge busy every superstep.
-    use even_cycle_congest::sim::{
-        run_with_backend, Backend, Control, Ctx, CutMeter, Outbox, Program,
-    };
     use even_cycle_congest::graph::NodeId;
+    use even_cycle_congest::sim::{Backend, Control, Ctx, CutMeter, Executor, Outbox, Program};
 
     #[derive(Debug)]
     struct Flood {
@@ -295,9 +293,15 @@ fn cut_meter_words_agree_on_the_pooled_path() {
     let g = generators::erdos_renyi(64, 0.12, 11);
     let side: Vec<bool> = (0..g.node_count()).map(|v| v >= 32).collect();
     let build = |_: NodeId, _: usize| Flood { steps: 4 };
-    let cut = || Some(CutMeter::new(&g, side.clone()));
-    let (baseline, _) =
-        run_with_backend(&g, 5, Backend::Sequential, 1, cut(), build, 16).unwrap();
+    let run = |backend: Backend| {
+        Executor::new(&g, 5)
+            .backend(backend)
+            .cut(CutMeter::new(&g, side.clone()))
+            .run(build, 16)
+            .unwrap()
+            .0
+    };
+    let baseline = run(Backend::Sequential);
     assert!(
         baseline.cut_words.is_some_and(|w| w > 0),
         "the bisection must be crossed"
@@ -308,7 +312,7 @@ fn cut_meter_words_agree_on_the_pooled_path() {
         Backend::Parallel { threads: 128 },
         Backend::Auto { node_threshold: 1 },
     ] {
-        let (report, _) = run_with_backend(&g, 5, backend, 1, cut(), build, 16).unwrap();
+        let report = run(backend);
         assert_eq!(
             report.cut_words, baseline.cut_words,
             "cut accounting diverged under {backend}"

@@ -114,8 +114,7 @@ fn strict_and_logical_executors_agree_on_color_bfs() {
         let build = |v: even_cycle_congest::graph::NodeId, _n: usize| {
             ColorBfs::new(2, colors[v.index()], true, true, true, 50)
         };
-        let mut logical = Executor::new(&g, seed);
-        let lr = logical.run(build, 8).unwrap();
+        let (lr, _) = Executor::new(&g, seed).run(build, 8).unwrap();
         let mut strict = StrictExecutor::new(&g, seed);
         let sr = strict.run(build, 8).unwrap();
         assert_eq!(lr.rounds, sr.rounds, "seed {seed}");

@@ -201,8 +201,7 @@ fn executor_round_accounting_is_bandwidth_consistent() {
         let p = 0.1 + 0.0125 * (case % 24) as f64;
         let seed = case.wrapping_mul(77) + 5;
         let g = generators::erdos_renyi(n, p, seed);
-        let mut exec = Executor::new(&g, seed);
-        let report = exec.run(|_, _| Chatty, 4).unwrap();
+        let (report, _) = Executor::new(&g, seed).run(|_, _| Chatty, 4).unwrap();
         // Max per-edge load is the max degree among senders; rounds for
         // the init superstep equal that load (bandwidth 1).
         let expect = g.nodes().map(|v| g.degree(v)).max().unwrap_or(0) as u64;

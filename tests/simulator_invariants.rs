@@ -1,14 +1,13 @@
 //! Simulator-level invariants exercised through the paper's own
-//! protocols: parallel execution, tracing, and wire encoding all agree
-//! with the reference executor.
+//! protocols: every backend, tracing, and wire encoding all agree with
+//! the sequential run.
 
 use even_cycle_congest::cycle::color_bfs::ColorBfs;
 use even_cycle_congest::cycle::{random_coloring, Params};
 use even_cycle_congest::graph::{generators, CycleWitness, Graph, NodeId};
-use even_cycle_congest::sim::parallel::ParallelExecutor;
-use even_cycle_congest::sim::trace::run_traced;
+use even_cycle_congest::sim::trace::Trace;
 use even_cycle_congest::sim::wire::{assert_accounting_consistent, WireEncode};
-use even_cycle_congest::sim::Executor;
+use even_cycle_congest::sim::{Backend, Executor};
 
 fn planted_instance(seed: u64) -> (Graph, CycleWitness, Vec<u8>) {
     let host = generators::erdos_renyi(48, 0.06, seed);
@@ -27,20 +26,19 @@ fn parallel_executor_runs_color_bfs_identically() {
         let tau = Params::practical(2).instantiate(g.node_count()).tau;
         let build = |v: NodeId, _| ColorBfs::new(2, colors[v.index()], true, true, true, tau);
 
-        let mut seq = Executor::new(&g, seed);
-        let sr = seq.run(build, 8).unwrap();
-        let mut par = ParallelExecutor::new(&g, seed);
-        par.set_threads(3);
-        let pr = par.run(build, 8).unwrap();
-
-        assert_eq!(sr.decision, pr.decision, "seed {seed}");
-        assert_eq!(sr.rounds, pr.rounds);
-        assert_eq!(sr.rejecting_nodes, pr.rejecting_nodes);
+        let (sr, seq) = Executor::new(&g, seed).run(build, 8).unwrap();
         assert!(sr.rejected(), "forced coloring must detect");
-        // The node states agree too.
-        for (a, b) in seq.nodes().iter().zip(par.nodes()) {
-            assert_eq!(a.evidence(), b.evidence());
-            assert_eq!(a.collected(), b.collected());
+        for threads in [1usize, 2, 4] {
+            let (pr, par) = Executor::new(&g, seed)
+                .backend(Backend::Parallel { threads })
+                .run(build, 8)
+                .unwrap();
+            assert_eq!(sr, pr, "seed {seed}, {threads} threads");
+            // The node states agree too.
+            for (a, b) in seq.iter().zip(&par) {
+                assert_eq!(a.evidence(), b.evidence());
+                assert_eq!(a.collected(), b.collected());
+            }
         }
     }
 }
@@ -48,25 +46,26 @@ fn parallel_executor_runs_color_bfs_identically() {
 #[test]
 fn parallel_cut_meter_matches_sequential_on_color_bfs() {
     use even_cycle_congest::sim::CutMeter;
-    // The §3.3 reductions meter the words crossing a bipartition; the
-    // parallel path must count exactly what the sequential path does
-    // (it used to silently report `cut_words: None`).
+    // The §3.3 reductions meter the words crossing a bipartition; every
+    // backend must count exactly what the sequential path does.
     for seed in 0..3u64 {
         let (g, _, colors) = planted_instance(seed);
         let tau = Params::practical(2).instantiate(g.node_count()).tau;
         let build = |v: NodeId, _| ColorBfs::new(2, colors[v.index()], true, true, true, tau);
         let side: Vec<bool> = (0..g.node_count()).map(|v| v % 2 == 0).collect();
+        let run = |backend: Backend| {
+            Executor::new(&g, seed)
+                .backend(backend)
+                .cut(CutMeter::new(&g, side.clone()))
+                .run(build, 8)
+                .unwrap()
+                .0
+        };
 
-        let mut seq = Executor::new(&g, seed);
-        seq.set_cut(CutMeter::new(&g, side.clone()));
-        let sr = seq.run(build, 8).unwrap();
+        let sr = run(Backend::Sequential);
         assert!(sr.cut_words.is_some_and(|w| w > 0), "cut must be crossed");
-
-        for threads in [2usize, 4] {
-            let mut par = ParallelExecutor::new(&g, seed);
-            par.set_threads(threads);
-            par.set_cut(CutMeter::new(&g, side.clone()));
-            let pr = par.run(build, 8).unwrap();
+        for threads in [1usize, 2, 4] {
+            let pr = run(Backend::Parallel { threads });
             assert_eq!(
                 sr.cut_words, pr.cut_words,
                 "cut words diverged (seed {seed}, {threads} threads)"
@@ -80,13 +79,12 @@ fn parallel_cut_meter_matches_sequential_on_color_bfs() {
 fn trace_agrees_with_congestion_accounting_on_color_bfs() {
     let (g, _, colors) = planted_instance(5);
     let tau = Params::practical(2).instantiate(g.node_count()).tau;
-    let (report, trace) = run_traced(
-        &g,
-        5,
-        |v, _| ColorBfs::new(2, colors[v.index()], true, true, true, tau),
-        8,
-    )
-    .unwrap();
+    let build = |v: NodeId, _| ColorBfs::new(2, colors[v.index()], true, true, true, tau);
+    let mut trace = Trace::default();
+    let (report, _) = Executor::new(&g, 5)
+        .trace(&mut trace)
+        .run(build, 8)
+        .unwrap();
     assert_eq!(
         trace.peak_edge_load() as u64,
         report.congestion.max_words_per_edge_step
@@ -101,6 +99,17 @@ fn trace_agrees_with_congestion_accounting_on_color_bfs() {
             e.from,
             e.to
         );
+    }
+    // Delivery is single-threaded on every backend, so a pooled run
+    // records the same trace event for event.
+    for threads in [1usize, 2, 4] {
+        let mut pooled = Trace::default();
+        Executor::new(&g, 5)
+            .backend(Backend::Parallel { threads })
+            .trace(&mut pooled)
+            .run(build, 8)
+            .unwrap();
+        assert_eq!(pooled.events(), trace.events(), "{threads} threads");
     }
 }
 
